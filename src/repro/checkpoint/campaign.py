@@ -45,7 +45,6 @@ from repro.checkpoint.store import (
 from repro.faults import FaultPlan
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.engine import QueueingEngine
-from repro.sim.ops import RecordingTiming
 from repro.sim.policies import SchedulingPolicy, policy_by_name
 from repro.sim.runner import SimResult, capture_block_trace
 from repro.ssd.config import SSDConfig
@@ -232,7 +231,6 @@ def run_chunked_simulation(
             faults=faults,
             telemetry=telemetry,
         )
-        ssd.instrument_timing(RecordingTiming.from_config(config))
         engine = QueueingEngine(
             ssd, requests, arrivals, policy, steady_start=steady_start
         )

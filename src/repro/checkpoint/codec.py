@@ -35,8 +35,8 @@ from repro.faults import FaultKind
 from repro.flash.block import BlockState
 from repro.flash.page import PageState
 from repro.ftl.page_status import PageStatus
-from repro.sim.ops import OpKind
 from repro.ssd.request import RequestOp
+from repro.ssd.timing import OpKind
 
 __all__ = [
     "CodecError",

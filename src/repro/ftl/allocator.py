@@ -149,11 +149,22 @@ class BlockAllocator:
             raise ValueError(f"block {block} is retired (grown-bad)")
         st.pending_blocks.append(block)
 
+    def is_pooled(self, chip_id: int, block: int) -> bool:
+        """Whether ``block`` already waits in the free or pending pool."""
+        st = self._chips[chip_id]
+        return block in st.free_blocks or block in st.pending_blocks
+
     def add_erased(self, chip_id: int, block: int) -> None:
-        """Return an already-erased block to the free pool."""
+        """Return an already-erased block to the free pool.
+
+        A block that is already pooled would be handed out twice, so
+        that is refused like a retired one.
+        """
         st = self._chips[chip_id]
         if block in st.retired:
             raise ValueError(f"block {block} is retired (grown-bad)")
+        if self.is_pooled(chip_id, block):
+            raise ValueError(f"block {block} is already in a reuse pool")
         st.free_blocks.append(block)
 
     def retire_block(self, chip_id: int, block: int) -> None:

@@ -96,17 +96,7 @@ class PageMappedFtl:
         #: variants' sanitization storms); the DISABLED singleton's
         #: spans are shared no-ops, so untraced runs pay ~nothing.
         self.tel: AnyTelemetry = telemetry if telemetry is not None else DISABLED
-        self.timing = TimingModel(
-            n_channels=config.n_channels,
-            chips_per_channel=config.chips_per_channel,
-            t_read_us=config.t_read_us,
-            t_prog_us=config.t_prog_us,
-            t_erase_us=config.t_erase_us,
-            t_plock_us=config.t_plock_us,
-            t_block_lock_us=config.t_block_lock_us,
-            t_scrub_us=config.t_scrub_us,
-            t_xfer_us=config.t_xfer_us,
-        )
+        self.timing = TimingModel.from_config(config)
         self.stats = DeviceStats()
         self.chips: list[FlashChip] = [
             self._make_chip(i) for i in range(config.n_chips)

@@ -54,8 +54,16 @@ class EraseBasedFtl(PageMappedFtl):
 
     # ------------------------------------------------------------------
     def _erase_block_for_sanitize(self, gb: int) -> None:
-        """Relocate the block's live pages, then erase it right away."""
+        """Relocate the block's live pages, then erase it right away.
+
+        An earlier block of the same host batch may have triggered GC,
+        whose eager erase already sanitized this block and put it back
+        in the free pool; it is skipped then (erasing it again would
+        pool it twice and open it twice).
+        """
         chip_id, local_block = self.split_global_block(gb)
+        if self.alloc.is_pooled(chip_id, local_block):
+            return
         with self.tel.tracer.span(
             "relocation_storm", cat="ftl.sanitize", chip=chip_id, block=gb
         ), self.timing.sanitize_region():

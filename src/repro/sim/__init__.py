@@ -7,6 +7,10 @@ discrete-event engine with per-chip and per-channel service queues,
 seeded load generators, and pluggable scheduling policies (FIFO, read
 priority, erase/program suspension, sanitization-lock deferral), turning
 erSSD vs scrSSD vs secSSD *tail latency* into a first-class result.
+The FTLs run unmodified: the device's one ``TimingModel`` captures the
+:class:`~repro.ssd.timing.FlashOp` stream each request schedules, and
+the engine replays that stream as queued service (``OpKind`` and
+``FlashOp`` are re-exported here).
 
 Entry points: :func:`~repro.sim.runner.simulate_workload` (and the
 ``repro simulate`` / ``repro bench`` CLI subcommands built on it).
@@ -23,15 +27,10 @@ from repro.sim.arrivals import (
 from repro.sim.engine import EngineReport, QueueingEngine, Segment, Server
 from repro.sim.events import Event, EventHeap, SimClock
 from repro.sim.metrics import PERCENTILES, DepthSeries, LatencyRecorder, percentile
-from repro.sim.ops import (
-    LOCK_KINDS,
-    SUSPENDABLE_KINDS,
-    FlashOp,
-    OpKind,
-    RecordingTiming,
-)
 from repro.sim.policies import (
+    LOCK_KINDS,
     POLICIES,
+    SUSPENDABLE_KINDS,
     DeferLocksPolicy,
     FifoPolicy,
     ReadPriorityPolicy,
@@ -40,6 +39,7 @@ from repro.sim.policies import (
     policy_by_name,
 )
 from repro.sim.runner import SimResult, capture_block_trace, simulate_workload
+from repro.ssd.timing import FlashOp, OpKind
 
 __all__ = [
     "ArrivalProcess",
@@ -60,7 +60,6 @@ __all__ = [
     "PoissonArrivals",
     "QueueingEngine",
     "ReadPriorityPolicy",
-    "RecordingTiming",
     "SUSPENDABLE_KINDS",
     "SchedulingPolicy",
     "Segment",

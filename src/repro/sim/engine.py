@@ -4,9 +4,9 @@ How a request flows:
 
 1. An **arrival** event dispatches the request to the real FTL
    (``ssd.submit``), which executes *functionally* right away -- mapping
-   updates, GC, sanitization, fault handling -- while the installed
-   :class:`~repro.sim.ops.RecordingTiming` captures every primitive
-   flash operation it scheduled.
+   updates, GC, sanitization, fault handling -- while the FTL's
+   :class:`~repro.ssd.timing.TimingModel` captures every primitive
+   flash operation it scheduled (``begin_capture``/``end_capture``).
 2. Each captured operation becomes one or two **service segments** on
    the simulated resources: a read senses on its chip then transfers on
    its channel; a program transfers then occupies the chip; erases,
@@ -21,7 +21,7 @@ how long a host request *waits* behind GC relocation storms, erase
 trains, and sanitization pulses -- while the FTL state, statistics, and
 fault behaviour stay exactly those of the replayed variant.  Under a
 saturating closed-loop load the same run also carries the open-loop
-answer (``RecordingTiming`` inherits the occupancy accounting), which is
+answer (capture leaves the occupancy accounting untouched), which is
 the agreement contract ``tests/sim/test_crosscheck.py`` enforces.
 
 Determinism: a single seeded request stream, seeded arrival processes,
@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 from repro.ftl.observer import notify_optional
 from repro.sim.events import EventHeap, SimClock
 from repro.sim.metrics import DepthSeries, LatencyRecorder, WorkSeries
-from repro.sim.ops import OpKind, RecordingTiming
 from repro.sim.policies import DeferLocksPolicy, SchedulingPolicy
 from repro.ssd.device import SSD
 from repro.ssd.request import IoRequest, RequestOp
+from repro.ssd.timing import OpKind
 from repro.telemetry import Telemetry  # lint: disable=SIM14 -- cross-cutting observability seam, zero-cost when disabled
 
 _EV_ARRIVAL = "arrival"
@@ -257,11 +257,6 @@ class QueueingEngine:
         steady_start: int = 0,
     ) -> None:
         timing = ssd.ftl.timing
-        if not isinstance(timing, RecordingTiming):
-            raise TypeError(
-                "the engine needs a RecordingTiming installed via "
-                "SSD.instrument_timing (see repro.sim.runner)"
-            )
         if not 0 <= steady_start <= len(requests):
             raise ValueError("steady_start out of range")
         self.ssd = ssd
@@ -648,7 +643,6 @@ class QueueingEngine:
         segment = queue[0] if self._fifo_queues else queue[0][2]
         if not segment.ready:
             return  # in-order mode: head-of-line stall until ready
-        # lockstep: begin engine-start-segment
         if self._fifo_queues:
             queue.popleft()
         else:
@@ -667,7 +661,6 @@ class QueueingEngine:
         heapq.heappush(heap._heap, (end, heap._seq, _EV_DONE, (server, token)))
         heap._seq += 1
         heap.pushed += 1
-        # lockstep: end engine-start-segment
 
     def _on_done(self, server: Server, token: int) -> None:
         if token != server.token:
@@ -736,34 +729,9 @@ class QueueingEngine:
                 self._complete(segment.request)
         if server.pending_locks and server.idle:
             self._drain_locks(server)  # the idle window deferral waits for
-        # tail of every completion: _start_next, inlined (the extra call
-        # per event is measurable).  KEEP IN LOCKSTEP with _start_next.
-        # The current-is-None guard stays: _drain_locks above may have
-        # already restarted this server via _enqueue.
-        queue = server.queue
-        if queue and server.current is None:
-            segment = queue[0] if self._fifo_queues else queue[0][2]
-            if segment.ready:
-                # lockstep: begin engine-start-segment
-                if self._fifo_queues:
-                    queue.popleft()
-                else:
-                    heapq.heappop(queue)
-                self.queued_segments -= 1
-                now = self.clock.now_us
-                server.current = segment
-                server.current_start_us = now
-                end = now + segment.duration_us
-                server.current_end_us = end
-                token = server.token + 1
-                server.token = token
-                heap = self.heap  # EventHeap.schedule, inlined (as above)
-                heapq.heappush(
-                    heap._heap, (end, heap._seq, _EV_DONE, (server, token))
-                )
-                heap._seq += 1
-                heap.pushed += 1
-                # lockstep: end engine-start-segment
+        # _drain_locks may already have restarted this server via
+        # _enqueue; _start_next is a no-op then
+        self._start_next(server)
 
     def _complete(self, inflight: _InFlight) -> None:
         now = self.clock.now_us

@@ -31,8 +31,15 @@ out of the request critical path:
 
 from __future__ import annotations
 
-from repro.sim.ops import LOCK_KINDS, SUSPENDABLE_KINDS, OpKind
 from repro.ssd.request import RequestOp
+from repro.ssd.timing import OpKind
+
+#: operations that are sanitization lock pulses (deferral candidates).
+LOCK_KINDS = frozenset({OpKind.PLOCK, OpKind.BLOCK_LOCK})
+
+#: cell operations a suspension-capable chip can pause for a read
+#: (erase suspend / program suspend, standard on modern NAND).
+SUSPENDABLE_KINDS = frozenset({OpKind.ERASE, OpKind.PROGRAM})
 
 
 def is_host_read(segment) -> bool:

@@ -24,7 +24,6 @@ from repro.host.filesystem import FileSystem
 from repro.host.trace import TraceReplayer
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.engine import EngineReport, QueueingEngine
-from repro.sim.ops import RecordingTiming
 from repro.sim.policies import SchedulingPolicy, policy_by_name
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
@@ -169,7 +168,6 @@ def simulate_trace(
         faults=faults,
         telemetry=telemetry,
     )
-    ssd.instrument_timing(RecordingTiming.from_config(config))
     engine = QueueingEngine(
         ssd, requests, arrivals, policy, steady_start=steady_start
     )

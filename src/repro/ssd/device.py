@@ -112,28 +112,6 @@ class SSD:
     def elapsed_us(self) -> float:
         return self.ftl.elapsed_us()
 
-    def instrument_timing(self, timing) -> None:
-        """Swap the FTL's timing model for an instrumented replacement.
-
-        The :mod:`repro.sim` engine installs a recording
-        :class:`~repro.ssd.timing.TimingModel` subclass so that every
-        flash operation a request triggers is captured for event-driven
-        service simulation.  The swap must happen before any request is
-        replayed (both models start from an all-idle device) and the
-        replacement must describe the same topology.
-        """
-        current = self.ftl.timing
-        if current.total_work_us > 0.0:
-            raise RuntimeError(
-                "cannot instrument timing after requests were replayed"
-            )
-        if (timing.n_channels, timing.chips_per_channel) != (
-            current.n_channels,
-            current.chips_per_channel,
-        ):
-            raise ValueError("replacement timing model has a different topology")
-        self.ftl.timing = timing
-
     def submit(self, request: IoRequest) -> None:
         before = self._busy_total()
         self.ftl.submit(request)

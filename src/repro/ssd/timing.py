@@ -41,14 +41,75 @@ cross-checks against it, so it is normative):
   to ``tpLock`` (Section 7 evaluates both at 100 us); it is configurable
   separately through :class:`repro.ssd.config.SSDConfig.t_scrub_us`
   because real scrub pulses may use a coarser step voltage.
+
+**Op capture.**  The same model is the seam through which the
+closed-loop engine drives the real FTLs.  Between
+:meth:`TimingModel.begin_capture` and :meth:`TimingModel.end_capture`
+every scheduled operation is also appended to a list of
+:class:`FlashOp`; the engine re-enacts that stream as queued service on
+simulated chip/channel resources.  Capture has no accounting effect, so
+a captured run's ``elapsed_us`` is exactly the open-loop makespan of the
+same request order -- which is what makes the open-loop vs closed-loop
+agreement contract testable on a single run.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.flash import constants
+
+if TYPE_CHECKING:
+    from repro.ssd.config import SSDConfig
+
+
+class OpKind(Enum):
+    """Primitive flash operations the FTLs schedule."""
+
+    READ = "read"
+    PROGRAM = "program"
+    ERASE = "erase"
+    PLOCK = "plock"
+    BLOCK_LOCK = "block_lock"
+    SCRUB = "scrub"
+
+
+#: operations that are sanitization by nature, wherever they appear --
+#: a lock pulse or scrub pulse has no other purpose.
+SANITIZE_KINDS = frozenset({OpKind.PLOCK, OpKind.BLOCK_LOCK, OpKind.SCRUB})
+
+#: the :class:`TimingModel` field holding each op's chip occupancy.
+_CELL_FIELD = {
+    OpKind.READ: "t_read_us",
+    OpKind.PROGRAM: "t_prog_us",
+    OpKind.ERASE: "t_erase_us",
+    OpKind.PLOCK: "t_plock_us",
+    OpKind.BLOCK_LOCK: "t_block_lock_us",
+    OpKind.SCRUB: "t_scrub_us",
+}
+
+
+class FlashOp(NamedTuple):
+    """One captured primitive operation on one chip.
+
+    A ``NamedTuple`` rather than a dataclass: one is constructed per
+    captured flash op (hundreds of thousands per benchmark run) and
+    tuple construction is several times cheaper than a frozen-dataclass
+    ``__init__``.
+
+    ``sanitize`` attributes the op to data sanitization: always set for
+    :data:`SANITIZE_KINDS`, and set for reads/programs/erases captured
+    inside the FTL's :meth:`TimingModel.sanitize_region` (relocation
+    copies, padding programs, sanitize erases).  Plain host I/O and
+    capacity-reclamation GC stay untagged.
+    """
+
+    kind: OpKind
+    chip_id: int
+    sanitize: bool = False
 
 
 @dataclass
@@ -75,9 +136,10 @@ class TimingModel:
     xfer_work_us: float = field(init=False, default=0.0)
     #: nesting depth of :meth:`sanitize_region` -- positive while the
     #: FTL is doing sanitization-driven work (relocations, sanitize
-    #: erases, lock fallbacks), so instrumented timing models can
-    #: attribute the flash ops they capture.
+    #: erases, lock fallbacks), so captured flash ops can be attributed.
     _sanitize_depth: int = field(init=False, default=0)
+    #: the op stream of the open capture, or None outside a capture.
+    _ops: list[FlashOp] | None = field(init=False, default=None)
 
     #: timing fields every instance must hold positive (validation).
     TIMING_FIELDS = (
@@ -100,6 +162,15 @@ class TimingModel:
         self.chip_busy = [0.0] * self.n_chips
         self.channel_busy = [0.0] * self.n_channels
 
+    @classmethod
+    def from_config(cls, config: SSDConfig) -> TimingModel:
+        """The model for ``config``'s topology and per-op latencies."""
+        return cls(
+            n_channels=config.n_channels,
+            chips_per_channel=config.chips_per_channel,
+            **{name: getattr(config, name) for name in cls.TIMING_FIELDS},
+        )
+
     # ------------------------------------------------------------------
     @property
     def n_chips(self) -> int:
@@ -114,21 +185,15 @@ class TimingModel:
             raise ValueError(f"chip {chip_id} out of range [0, {self.n_chips})")
 
     # ------------------------------------------------------------------
-    @property
-    def in_sanitize(self) -> bool:
-        """True while the FTL is inside a sanitization scope."""
-        return self._sanitize_depth > 0
-
     @contextmanager
     def sanitize_region(self):
         """Mark a region of FTL work as sanitization-driven.
 
         The FTL brackets relocate-and-erase passes, scrub passes, and
-        lock-fallback paths with this scope; the plain model ignores it
-        (timing is unchanged), but :class:`repro.sim.ops.RecordingTiming`
-        tags the flash ops captured inside so the closed-loop engine can
-        account queued sanitization work separately from host I/O and
-        plain GC.  Re-entrant (scopes nest).
+        lock-fallback paths with this scope.  Timing is unchanged, but
+        the flash ops captured inside are tagged so the closed-loop
+        engine can account queued sanitization work separately from
+        host I/O and plain GC.  Re-entrant (scopes nest).
         """
         self._sanitize_depth += 1
         try:
@@ -136,21 +201,33 @@ class TimingModel:
         finally:
             self._sanitize_depth -= 1
 
+    def begin_capture(self) -> None:
+        """Start recording every scheduled op as a :class:`FlashOp`."""
+        if self._ops is not None:
+            raise RuntimeError("capture already in progress")
+        self._ops = []
+
+    def end_capture(self) -> list[FlashOp]:
+        """Stop recording; return the ops scheduled since the begin."""
+        if self._ops is None:
+            raise RuntimeError("no capture in progress")
+        ops, self._ops = self._ops, None
+        return ops
+
+    def cell_duration_us(self, kind: OpKind) -> float:
+        """Chip occupancy of one operation (the cell-op stage)."""
+        return getattr(self, _CELL_FIELD[kind])
+
     # ------------------------------------------------------------------
-    # The scheduling methods below run once per captured flash op
-    # (hundreds of thousands per benchmark run), so they inline the
-    # bounds check and the work accounting instead of paying extra
-    # function calls per op.  The accounting order is fixed (cell, then
-    # xfer, then total) -- float addition is order-sensitive and the
-    # totals feed byte-identity contracts.
-    #
-    # KEEP IN LOCKSTEP with the inlined copies in
-    # :class:`repro.sim.ops.RecordingTiming`; the `# lockstep:` regions
-    # below make SIM11 verify the pairing on every lint run.
+    # The scheduling methods below run once per flash op (hundreds of
+    # thousands per benchmark run), so they inline the bounds check,
+    # the work accounting and the capture append instead of paying
+    # extra function calls per op.  The accounting order is fixed
+    # (cell, then xfer, then total) -- float addition is
+    # order-sensitive and the totals feed byte-identity contracts.
 
     def read(self, chip_id: int) -> float:
         """Schedule a page read: chip sense, then channel transfer out."""
-        # lockstep: begin timing-read
         chip_busy = self.chip_busy
         if not 0 <= chip_id < len(chip_busy):
             self._check_chip(chip_id)
@@ -164,12 +241,13 @@ class TimingModel:
         self.cell_work_us += self.t_read_us
         self.xfer_work_us += self.t_xfer_us
         self.total_work_us += self.t_read_us + self.t_xfer_us
+        ops = self._ops
+        if ops is not None:
+            ops.append(FlashOp(OpKind.READ, chip_id, self._sanitize_depth > 0))
         return end
-        # lockstep: end timing-read
 
     def program(self, chip_id: int) -> float:
         """Schedule a page program: channel transfer in, then cell op."""
-        # lockstep: begin timing-program
         chip_busy = self.chip_busy
         if not 0 <= chip_id < len(chip_busy):
             self._check_chip(chip_id)
@@ -185,15 +263,17 @@ class TimingModel:
         self.cell_work_us += self.t_prog_us
         self.xfer_work_us += self.t_xfer_us
         self.total_work_us += self.t_prog_us + self.t_xfer_us
+        ops = self._ops
+        if ops is not None:
+            ops.append(FlashOp(OpKind.PROGRAM, chip_id, self._sanitize_depth > 0))
         return end
-        # lockstep: end timing-program
 
     def copy(self, src_chip: int, dst_chip: int) -> float:
         """Schedule a page copy (GC move): read on src, program on dst."""
         self.read(src_chip)
         return self.program(dst_chip)
 
-    def _cell_only(self, chip_id: int, duration_us: float) -> float:
+    def _cell_only(self, chip_id: int, kind: OpKind, duration_us: float) -> float:
         """Schedule a cell-only op (no channel transfer)."""
         chip_busy = self.chip_busy
         if not 0 <= chip_id < len(chip_busy):
@@ -201,19 +281,28 @@ class TimingModel:
         chip_busy[chip_id] += duration_us
         self.cell_work_us += duration_us
         self.total_work_us += duration_us
+        ops = self._ops
+        if ops is not None:
+            ops.append(
+                FlashOp(
+                    kind,
+                    chip_id,
+                    kind in SANITIZE_KINDS or self._sanitize_depth > 0,
+                )
+            )
         return chip_busy[chip_id]
 
     def erase(self, chip_id: int) -> float:
-        return self._cell_only(chip_id, self.t_erase_us)
+        return self._cell_only(chip_id, OpKind.ERASE, self.t_erase_us)
 
     def plock(self, chip_id: int) -> float:
-        return self._cell_only(chip_id, self.t_plock_us)
+        return self._cell_only(chip_id, OpKind.PLOCK, self.t_plock_us)
 
     def block_lock(self, chip_id: int) -> float:
-        return self._cell_only(chip_id, self.t_block_lock_us)
+        return self._cell_only(chip_id, OpKind.BLOCK_LOCK, self.t_block_lock_us)
 
     def scrub(self, chip_id: int) -> float:
-        return self._cell_only(chip_id, self.t_scrub_us)
+        return self._cell_only(chip_id, OpKind.SCRUB, self.t_scrub_us)
 
     # ------------------------------------------------------------------
     @property

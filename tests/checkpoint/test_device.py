@@ -10,7 +10,6 @@ from repro.checkpoint.device import restore_device, snapshot_device
 from repro.faults import FaultKind, FaultPlan
 from repro.sim.arrivals import ClosedLoopArrivals
 from repro.sim.engine import QueueingEngine
-from repro.sim.ops import RecordingTiming
 from repro.sim.policies import policy_by_name
 from repro.sim.runner import capture_block_trace
 from repro.ssd.device import SSD
@@ -89,7 +88,6 @@ class TestEngineState:
             config, "MailServer", seed=1, write_multiplier=0.3
         )
         ssd = SSD(config, "secSSD", seed=1, checked=True)
-        ssd.instrument_timing(RecordingTiming.from_config(config))
         engine = QueueingEngine(
             ssd,
             requests,

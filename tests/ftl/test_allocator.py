@@ -73,6 +73,18 @@ class TestLazyErase:
         assert block == 3
         assert erase is None
 
+    def test_add_erased_refuses_a_pooled_block(self, alloc):
+        # pooling a block twice would let two streams open it
+        with pytest.raises(ValueError, match="already in a reuse pool"):
+            alloc.add_erased(0, 1)  # still in the initial free pool
+        for _ in range(12):
+            alloc.allocate_page(0)
+        alloc.retire_victim(0, 2)
+        assert alloc.is_pooled(0, 2)
+        with pytest.raises(ValueError, match="already in a reuse pool"):
+            alloc.add_erased(0, 2)
+        assert alloc.reserve_blocks(0) == 1
+
 
 class TestActiveBlock:
     def test_active_position(self, alloc):

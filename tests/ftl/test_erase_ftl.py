@@ -6,6 +6,8 @@ import pytest
 
 from repro.ftl.erase_based import EraseBasedFtl
 from repro.ftl.mapping import UNMAPPED
+from repro.sim import ClosedLoopArrivals, simulate_workload
+from repro.ssd.config import scaled_config
 from repro.ssd.request import trim, write
 
 
@@ -93,3 +95,22 @@ class TestSanitizationGuarantee:
             isinstance(v, tuple) and v[1] == "f"
             for v in ftl.raw_device_dump().values()
         )
+
+
+class TestBatchErasesEachBlockOnce:
+    def test_block_erased_by_gc_mid_batch_is_not_pooled_twice(self):
+        """A relocation in a sanitize batch can trigger GC, whose eager
+        erase returns a later block of the same batch to the free pool;
+        erasing it again used to pool it twice, and the allocator then
+        opened it twice (ProgramOrderError) on this small device."""
+        result = simulate_workload(
+            scaled_config(blocks_per_chip=8, wordlines_per_block=4),
+            "DBServer",
+            "erSSD",
+            write_multiplier=0.5,
+            policy="fifo",
+            arrivals=ClosedLoopArrivals(16),
+            checked=True,
+        )
+        assert result.report.completed == result.requests
+        assert result.report.checker["violations"] == 0

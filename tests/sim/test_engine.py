@@ -10,7 +10,6 @@ from repro.sim import (
     PoissonArrivals,
     QueueingEngine,
     ReadPriorityPolicy,
-    RecordingTiming,
     SuspendPolicy,
     capture_block_trace,
     simulate_workload,
@@ -21,7 +20,6 @@ from repro.ssd.request import IoRequest, RequestOp
 
 def _engine(config, requests, policy=None, queue_depth=8):
     ssd = SSD(config, "baseline", seed=1, checked=False)
-    ssd.instrument_timing(RecordingTiming.from_config(config))
     return QueueingEngine(
         ssd, requests, ClosedLoopArrivals(queue_depth), policy or FifoPolicy()
     )
@@ -83,14 +81,8 @@ class TestEdgeCases:
         assert set(result.report.utilization) == {"chip0", "chan0"}
         assert result.report.utilization["chip0"] > 0.0
 
-    def test_requires_recording_timing(self, tiny_config):
-        ssd = SSD(tiny_config, "baseline", checked=False)
-        with pytest.raises(TypeError, match="RecordingTiming"):
-            QueueingEngine(ssd, [], ClosedLoopArrivals(), FifoPolicy())
-
     def test_steady_start_validated(self, tiny_config):
         ssd = SSD(tiny_config, "baseline", checked=False)
-        ssd.instrument_timing(RecordingTiming.from_config(tiny_config))
         with pytest.raises(ValueError, match="steady_start"):
             QueueingEngine(
                 ssd, [], ClosedLoopArrivals(), FifoPolicy(), steady_start=1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.engine import Segment, _InFlight
-from repro.sim.ops import OpKind
 from repro.sim.policies import (
     POLICIES,
     DeferLocksPolicy,
@@ -15,6 +14,7 @@ from repro.sim.policies import (
     policy_by_name,
 )
 from repro.ssd.request import RequestOp
+from repro.ssd.timing import OpKind
 
 
 def _segment(kind, stage="cell", op=RequestOp.READ, request=True):
